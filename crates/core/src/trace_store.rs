@@ -4,9 +4,10 @@
 //! an [`ExpandConfig`] fingerprint and persists them under
 //! `BELENOS_TRACE_DIR` (or `--trace-dir`) in the versioned binary format
 //! of [`belenos_trace::store`]. A hit lets [`Experiment::prepare`]
-//! reconstruct the phase log — and often the fully expanded trace —
-//! without building or solving the FE model, so the prepare phase is paid
-//! once *ever* per scenario across processes, sweeps, and fleet workers.
+//! reconstruct the phase log without building or solving the FE model,
+//! so the prepare phase is paid once *ever* per scenario across
+//! processes, sweeps, and fleet workers. Entries hold the log alone; a
+//! simulation re-expands it only as far as its op budget needs.
 //!
 //! Trust model: the store is a cache, never an authority. Every load
 //! re-verifies the embedded trace fingerprint against the decoded log, so
@@ -20,7 +21,7 @@
 use crate::experiment::{expand_fingerprint, trace_fingerprint};
 use belenos_trace::expand::ExpandConfig;
 use belenos_trace::{FlatTrace, StoreHeader, TraceArtifact, HEADER_LEN};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -80,10 +81,8 @@ impl TraceStore {
     /// Looks up the artifact for (scenario, expansion-config), verifying
     /// structure, key identity, and the trace fingerprint end to end.
     ///
-    /// Only the header and log section are read and decoded — KBs, where
-    /// the flat section of a long trace is MBs. When the entry carries a
-    /// flat section, the returned [`FlatHandle`] locates it for lazy
-    /// decoding at simulate time (`artifact.flat` is always `None` here).
+    /// The second element is always `None`: entries are log-only, and
+    /// [`FlatHandle`] is kept only so existing callers still compile.
     ///
     /// Any anomaly — unreadable file, truncation, version skew, checksum
     /// or fingerprint mismatch — emits a telemetry `warn` and reads as a
@@ -97,80 +96,40 @@ impl TraceStore {
     ) -> Option<(TraceArtifact, Option<FlatHandle>)> {
         let tele = belenos_telemetry::global();
         let path = self.entry_path(scenario_digest, expand);
-        let miss = |tele: &belenos_telemetry::Telemetry| {
+        let miss = |warning: Option<String>| {
+            if let Some(w) = warning {
+                tele.warn(&format!("trace store: {w}; recomputing"));
+            }
             tele.counter("trace_store_miss", 1, &[("workload", workload.into())]);
+            None
         };
-        let (header, log_section, file_len) = match read_log_section(&path) {
-            Ok(parts) => parts,
-            Err(ReadError::NotFound) => {
-                miss(&tele);
-                return None;
-            }
-            Err(ReadError::Io(e)) => {
-                tele.warn(&format!(
-                    "trace store: failed to read {}: {e}",
-                    path.display()
-                ));
-                miss(&tele);
-                return None;
-            }
-            Err(ReadError::Store(e)) => {
-                tele.warn(&format!(
-                    "trace store: discarding {}: {e}; recomputing",
-                    path.display()
-                ));
-                miss(&tele);
-                return None;
-            }
+        let artifact = match read_entry(&path) {
+            Ok(bytes) => TraceArtifact::decode(&bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return miss(None),
+            Err(e) => return miss(Some(format!("failed to read {}: {e}", path.display()))),
         };
-        if file_len != header.total_len() {
-            tele.warn(&format!(
-                "trace store: discarding {}: {}; recomputing",
-                path.display(),
-                belenos_trace::StoreError::Truncated
-            ));
-            miss(&tele);
-            return None;
-        }
-        let expand_fp = expand_fingerprint(expand);
-        if header.scenario_digest != scenario_digest || header.expand_fingerprint != expand_fp {
-            tele.warn(&format!(
-                "trace store: {} is keyed for a different scenario \
-                 (found {:016x}/{:016x}, wanted {scenario_digest:016x}/{expand_fp:016x}); \
-                 recomputing",
-                path.display(),
-                header.scenario_digest,
-                header.expand_fingerprint,
-            ));
-            miss(&tele);
-            return None;
-        }
-        let artifact = match TraceArtifact::decode_log(&header, &log_section) {
+        let artifact = match artifact {
             Ok(a) => a,
-            Err(e) => {
-                tele.warn(&format!(
-                    "trace store: discarding {}: {e}; recomputing",
-                    path.display()
-                ));
-                miss(&tele);
-                return None;
-            }
+            Err(e) => return miss(Some(format!("discarding {}: {e}", path.display()))),
         };
+        let expand_fp = expand_fingerprint(expand);
+        if artifact.scenario_digest != scenario_digest || artifact.expand_fingerprint != expand_fp {
+            return miss(Some(format!(
+                "{} is keyed for a different scenario \
+                 (found {:016x}/{:016x}, wanted {scenario_digest:016x}/{expand_fp:016x})",
+                path.display(),
+                artifact.scenario_digest,
+                artifact.expand_fingerprint,
+            )));
+        }
         if trace_fingerprint(&artifact.log, expand) != artifact.trace_fingerprint {
-            tele.warn(&format!(
-                "trace store: {} fingerprint mismatch (stale or corrupt entry); recomputing",
+            return miss(Some(format!(
+                "{} fingerprint mismatch (stale or corrupt entry)",
                 path.display()
-            ));
-            miss(&tele);
-            return None;
+            )));
         }
         tele.counter("trace_store_hit", 1, &[("workload", workload.into())]);
-        let flat = (header.flat_ops > 0).then(|| FlatHandle {
-            path,
-            header,
-            workload: workload.to_string(),
-        });
-        Some((artifact, flat))
+        Some((artifact, None))
     }
 
     /// Persists `artifact` under its content address, atomically
@@ -212,84 +171,31 @@ impl TraceStore {
     }
 }
 
-/// Locates a store entry's flat section for lazy decoding: a verified
-/// store hit hands one of these to the experiment, which reads it only
-/// when a simulation first wants the whole expanded trace (replacing a
-/// re-expansion pass, not adding to the prepare wall).
+/// What [`TraceStore::load`] once returned to locate an entry's
+/// expanded micro-op section. Entries no longer carry one, so no value of
+/// this type exists; it remains because the benchmark crate's layer
+/// probes still match on the second element of `load`'s result.
 #[derive(Debug)]
-pub struct FlatHandle {
-    path: PathBuf,
-    header: StoreHeader,
-    workload: String,
-}
+pub enum FlatHandle {}
 
 impl FlatHandle {
-    /// Micro-op count of the flat section (known without reading it).
-    pub fn n_ops(&self) -> u64 {
-        self.header.flat_ops
-    }
-
-    /// Reads, verifies, and decodes the flat section. Any failure —
-    /// the file changed, truncation, checksum — warns and returns
-    /// `None`; the caller re-expands from the already-verified log, so
-    /// a bad flat section can never produce a wrong trace.
+    /// Unreachable: no `FlatHandle` can be constructed.
     pub fn read(&self) -> Option<Arc<FlatTrace>> {
-        let tele = belenos_telemetry::global();
-        let fail = |msg: String| {
-            tele.warn(&format!(
-                "trace store: flat section of {} for `{}`: {msg}; re-expanding",
-                self.path.display(),
-                self.workload
-            ));
-            None
-        };
-        let mut section = Vec::new();
-        match std::fs::File::open(&self.path).and_then(|mut f| {
-            f.seek(SeekFrom::Start(self.header.flat_offset()))?;
-            f.read_to_end(&mut section)
-        }) {
-            Ok(_) => {}
-            Err(e) => return fail(e.to_string()),
-        }
-        match TraceArtifact::decode_flat(&self.header, &section) {
-            Ok(flat) => Some(Arc::new(flat)),
-            Err(e) => fail(e.to_string()),
-        }
+        match *self {}
     }
 }
 
-/// Why the partial entry read failed.
-enum ReadError {
-    /// No entry at this key (a silent miss).
-    NotFound,
-    /// The file exists but could not be read.
-    Io(std::io::Error),
-    /// The header or section structure is invalid.
-    Store(belenos_trace::StoreError),
-}
-
-/// Opens `path` and reads exactly the header and the log section
-/// (payload + checksum), returning them with the file's total length so
-/// the caller can detect truncation without touching the flat bytes.
-fn read_log_section(path: &Path) -> Result<(StoreHeader, Vec<u8>, u64), ReadError> {
-    let mut file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(ReadError::NotFound),
-        Err(e) => return Err(ReadError::Io(e)),
-    };
-    let file_len = file.metadata().map_err(ReadError::Io)?.len();
-    let mut header_bytes = [0u8; HEADER_LEN];
-    if file_len < HEADER_LEN as u64 {
-        return Err(ReadError::Store(belenos_trace::StoreError::Truncated));
+/// Reads the entry at `path`, stopping after the header when it does not
+/// decode, so a version-skewed entry (a version-1 file with its multi-MiB
+/// expanded section) is rejected without reading its body.
+fn read_entry(path: &Path) -> std::io::Result<Vec<u8>> {
+    let mut file = std::fs::File::open(path)?;
+    let mut bytes = Vec::new();
+    (&mut file)
+        .take(HEADER_LEN as u64)
+        .read_to_end(&mut bytes)?;
+    if StoreHeader::decode(&bytes).is_ok() {
+        file.read_to_end(&mut bytes)?;
     }
-    file.read_exact(&mut header_bytes).map_err(ReadError::Io)?;
-    let header = StoreHeader::decode(&header_bytes).map_err(ReadError::Store)?;
-    let log_section_len = header
-        .log_len
-        .checked_add(8)
-        .filter(|&n| n <= file_len.saturating_sub(HEADER_LEN as u64))
-        .ok_or(ReadError::Store(belenos_trace::StoreError::Truncated))?;
-    let mut section = vec![0u8; log_section_len as usize];
-    file.read_exact(&mut section).map_err(ReadError::Io)?;
-    Ok((header, section, file_len))
+    Ok(bytes)
 }

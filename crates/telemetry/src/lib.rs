@@ -43,7 +43,7 @@
 //! | `progress`   | `msg`, `span`                                       |
 
 use belenos_json::Json;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -451,12 +451,36 @@ fn global_slot() -> &'static Mutex<Telemetry> {
     GLOBAL.get_or_init(|| Mutex::new(Telemetry::from_env()))
 }
 
+thread_local! {
+    /// The handle [`scoped`] set for this thread alone, if any.
+    static SCOPED: RefCell<Option<Telemetry>> = const { RefCell::new(None) };
+}
+
 /// The process-wide telemetry handle, initialized from
 /// `BELENOS_TELEMETRY` on first access. Layers that cannot thread a
 /// handle through their call graph (the runner's `Simulate` trait, the
-/// uarch env parser) emit through this.
+/// uarch env parser) emit through this. Inside [`scoped`], the calling
+/// thread gets that scope's handle instead.
 pub fn global() -> Telemetry {
+    if let Some(t) = SCOPED.with(|s| s.borrow().clone()) {
+        return t;
+    }
     global_slot().lock().unwrap().clone()
+}
+
+/// Runs `f` with `t` as the handle [`global`] returns on this thread;
+/// other threads keep the process-wide handle. Tests running in
+/// parallel use it to capture only their own thread's events.
+pub fn scoped<T>(t: Telemetry, f: impl FnOnce() -> T) -> T {
+    /// Restores the outer scope's handle, also when `f` unwinds.
+    struct Restore(Option<Telemetry>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|s| *s.borrow_mut() = self.0.take());
+        }
+    }
+    let _restore = Restore(SCOPED.with(|s| s.replace(Some(t))));
+    f()
 }
 
 /// Replaces the process-wide handle (the CLI's `--telemetry` flag, test
@@ -481,6 +505,21 @@ mod tests {
         drop(span);
         // Off is also disabled, just additionally quiet for warn().
         assert!(!Telemetry::off().enabled());
+    }
+
+    #[test]
+    fn scoped_handle_reaches_only_its_own_thread() {
+        let (t, buf) = Telemetry::to_buffer();
+        scoped(t, || {
+            global().counter("mine", 1, &[]);
+            std::thread::spawn(|| global().counter("other", 1, &[]))
+                .join()
+                .expect("the emitting thread does not panic");
+        });
+        global().counter("after", 1, &[]);
+        let lines = buf.lines();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("\"mine\""));
     }
 
     #[test]

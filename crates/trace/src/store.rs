@@ -1,9 +1,9 @@
 //! Versioned binary serialization for prepared traces.
 //!
 //! A [`TraceArtifact`] bundles everything the prepare phase produces for
-//! one scenario — the [`PhaseLog`], solve metadata, and (optionally) the
-//! fully expanded [`FlatTrace`] — into a self-describing byte format that
-//! the content-addressed trace store in `belenos-core` persists to disk.
+//! one scenario — the [`PhaseLog`] and solve metadata — into a
+//! self-describing byte format that the content-addressed trace store in
+//! `belenos-core` persists to disk.
 //!
 //! Format contract:
 //!
@@ -12,13 +12,11 @@
 //! * **Versioned.** The header carries [`STORE_VERSION`]; any other
 //!   version is a clean [`StoreError::Version`] so readers recompute
 //!   instead of misinterpreting bytes.
-//! * **Sectioned for partial reads.** A fixed-size [`StoreHeader`]
-//!   declares the byte length of the log and flat sections, each of
-//!   which carries its own trailing checksum. A store hit at prepare
-//!   time reads and verifies only the (small) log section; the flat
-//!   section — megabytes for long traces — is decoded lazily via
-//!   [`TraceArtifact::decode_flat`] when a simulation first wants it.
-//! * **Checksummed.** An FNV-64 follows each section; truncation or
+//! * **Log-only.** A fixed-size [`StoreHeader`] is followed by the log
+//!   section alone. The expanded micro-op trace is not stored: decoding
+//!   it cost ~90 ns/op against 30-54 ns/op for re-expanding the log, and
+//!   a simulation re-expands only the prefix it needs.
+//! * **Checksummed.** An FNV-64 follows the log section; truncation or
 //!   corruption surfaces as [`StoreError::Truncated`] /
 //!   [`StoreError::Checksum`], never as a wrong trace.
 //! * **Arc-deduplicated.** `KernelCall`s hold `Arc`s to shared index
@@ -27,13 +25,14 @@
 //!   index, and decoding rebuilds *shared* `Arc`s — so the on-disk size
 //!   and the decoded memory footprint both match the live log, and
 //!   pointer-identity memoization downstream keeps working.
+//! * **Canonical.** The decoder accepts only what the encoder writes:
+//!   table entries referenced in first-use order, every entry used, and
+//!   no trailing bytes. Whatever decodes re-encodes to identical bytes.
 //!
 //! Exact round-tripping is load-bearing: the embedded trace fingerprint
 //! is recomputed over the decoded log on load, so any encoding loss would
 //! show up as a persistent cache miss, not silent drift.
 
-use crate::flat::FlatTrace;
-use crate::op::{FnCategory, MicroOp, OpKind};
 use crate::program::{KernelCall, MaterialClass, PhaseLog, PrecondClass};
 use belenos_sparse::CsrPattern;
 use std::collections::HashMap;
@@ -43,8 +42,9 @@ use std::sync::Arc;
 /// Magic bytes opening every store file.
 pub const STORE_MAGIC: &[u8; 12] = b"BELENOSTRACE";
 
-/// Current format version. Bump on any layout change.
-pub const STORE_VERSION: u32 = 1;
+/// Current format version. Bump on any layout change. Version 1 entries
+/// carried an expanded micro-op section after the log.
+pub const STORE_VERSION: u32 = 2;
 
 /// Why a byte buffer failed to decode as a [`TraceArtifact`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,14 +99,11 @@ pub struct SolveMeta {
 }
 
 /// Bytes of the fixed-size file header: magic, version, the three key
-/// fields, and the three section-length fields.
-pub const HEADER_LEN: usize = 12 + 4 + 8 * 6;
-
-/// Encoded size of one [`MicroOp`] in the flat section.
-const OP_ENC_LEN: u64 = 28;
+/// fields, and the log-section length.
+pub const HEADER_LEN: usize = 12 + 4 + 8 * 4;
 
 /// The decoded fixed-size header of a store file: everything needed to
-/// key-check an entry and locate its sections without reading them.
+/// key-check an entry and size it without reading the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreHeader {
     /// `ScenarioSpec::stable_digest()` of the source scenario.
@@ -117,10 +114,6 @@ pub struct StoreHeader {
     pub trace_fingerprint: u64,
     /// Byte length of the log section (excluding its checksum).
     pub log_len: u64,
-    /// Micro-op count of the flat section; 0 = no flat section.
-    pub flat_ops: u64,
-    /// Byte length of the flat section (excluding its checksum).
-    pub flat_len: u64,
 }
 
 impl StoreHeader {
@@ -139,32 +132,17 @@ impl StoreHeader {
             expand_fingerprint: r.u64()?,
             trace_fingerprint: r.u64()?,
             log_len: r.u64()?,
-            flat_ops: r.u64()?,
-            flat_len: r.u64()?,
         };
-        let expect_flat_len = h
-            .flat_ops
-            .checked_mul(OP_ENC_LEN)
-            .ok_or(StoreError::Malformed("flat op count overflow"))?;
-        if h.flat_len != expect_flat_len {
-            return Err(StoreError::Malformed("flat section length mismatch"));
+        if h.log_len > u64::MAX - HEADER_LEN as u64 - 8 {
+            return Err(StoreError::Malformed("log length overflow"));
         }
         Ok(h)
     }
 
-    /// Byte offset of the flat section within the file.
-    pub fn flat_offset(&self) -> u64 {
-        HEADER_LEN as u64 + self.log_len + 8
-    }
-
-    /// Total file length this header describes.
+    /// Total file length this header describes: header, log section and
+    /// its checksum.
     pub fn total_len(&self) -> u64 {
-        self.flat_offset()
-            + if self.flat_ops > 0 {
-                self.flat_len + 8
-            } else {
-                0
-            }
+        HEADER_LEN as u64 + self.log_len + 8
     }
 }
 
@@ -181,8 +159,6 @@ pub struct TraceArtifact {
     pub solve: SolveMeta,
     /// The recorded kernel log.
     pub log: PhaseLog,
-    /// Fully expanded trace, when it fit the in-memory budget at save time.
-    pub flat: Option<Arc<FlatTrace>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -260,15 +236,15 @@ impl<'a> ByteReader<'a> {
         usize::try_from(v).map_err(|_| StoreError::Malformed("usize overflow"))
     }
 
-    /// A length field additionally bounded by the remaining buffer (each
-    /// element needs ≥ 1 byte), so hostile counts can't trigger huge
-    /// allocations before the truncation is noticed.
-    fn len(&mut self) -> Result<usize, StoreError> {
+    /// A count of elements each encoded in at least `elem_bytes` bytes,
+    /// bounded by the remaining buffer, so a hostile count can't allocate
+    /// more than the input holds before the truncation is noticed.
+    fn len(&mut self, elem_bytes: usize) -> Result<usize, StoreError> {
         let n = self.usize()?;
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(StoreError::Truncated);
+        match n.checked_mul(elem_bytes) {
+            Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(n),
+            _ => Err(StoreError::Truncated),
         }
-        Ok(n)
     }
 
     fn f64(&mut self) -> Result<f64, StoreError> {
@@ -298,60 +274,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
 // ---------------------------------------------------------------------------
 // enum tags
 // ---------------------------------------------------------------------------
-
-fn op_kind_tag(k: OpKind) -> u8 {
-    match k {
-        OpKind::IntAlu => 0,
-        OpKind::IntMul => 1,
-        OpKind::FpAdd => 2,
-        OpKind::FpMul => 3,
-        OpKind::FpDiv => 4,
-        OpKind::Load => 5,
-        OpKind::Store => 6,
-        OpKind::Branch => 7,
-        OpKind::Pause => 8,
-        OpKind::Serialize => 9,
-    }
-}
-
-fn op_kind_from(tag: u8) -> Result<OpKind, StoreError> {
-    Ok(match tag {
-        0 => OpKind::IntAlu,
-        1 => OpKind::IntMul,
-        2 => OpKind::FpAdd,
-        3 => OpKind::FpMul,
-        4 => OpKind::FpDiv,
-        5 => OpKind::Load,
-        6 => OpKind::Store,
-        7 => OpKind::Branch,
-        8 => OpKind::Pause,
-        9 => OpKind::Serialize,
-        _ => return Err(StoreError::Malformed("op kind tag")),
-    })
-}
-
-fn category_tag(c: FnCategory) -> u8 {
-    match c {
-        FnCategory::Internal => 0,
-        FnCategory::Sparsity => 1,
-        FnCategory::MatrixDense => 2,
-        FnCategory::FebioSpecific => 3,
-        FnCategory::MklBlas => 4,
-        FnCategory::MklPardiso => 5,
-    }
-}
-
-fn category_from(tag: u8) -> Result<FnCategory, StoreError> {
-    Ok(match tag {
-        0 => FnCategory::Internal,
-        1 => FnCategory::Sparsity,
-        2 => FnCategory::MatrixDense,
-        3 => FnCategory::FebioSpecific,
-        4 => FnCategory::MklBlas,
-        5 => FnCategory::MklPardiso,
-        _ => return Err(StoreError::Malformed("fn category tag")),
-    })
-}
 
 fn material_tag(m: MaterialClass) -> u8 {
     match m {
@@ -496,11 +418,46 @@ impl ArcTables {
     }
 }
 
-fn lookup<T>(table: &[Arc<T>], idx: u32) -> Result<Arc<T>, StoreError> {
-    table
-        .get(idx as usize)
-        .cloned()
-        .ok_or(StoreError::Malformed("shared-array index out of range"))
+/// One decoded shared-array table. References must arrive in the order
+/// the encoder assigns indices — each new entry right after the last one
+/// used — so a decoded log re-encodes to the bytes it came from.
+struct Table<T> {
+    items: Vec<Arc<T>>,
+    used: usize,
+}
+
+impl<T> Table<T> {
+    fn new(items: Vec<Arc<T>>) -> Self {
+        Table { items, used: 0 }
+    }
+
+    fn get(&mut self, idx: u32) -> Result<Arc<T>, StoreError> {
+        let idx = idx as usize;
+        if idx > self.used {
+            return Err(StoreError::Malformed("shared-array index out of order"));
+        }
+        let item = self
+            .items
+            .get(idx)
+            .cloned()
+            .ok_or(StoreError::Malformed("shared-array index out of range"))?;
+        if idx == self.used {
+            self.used += 1;
+        }
+        Ok(item)
+    }
+
+    fn all_used(&self) -> bool {
+        self.used == self.items.len()
+    }
+}
+
+/// The four decoded shared-array tables a log section references.
+struct Tables {
+    patterns: Table<CsrPattern>,
+    usizes: Table<Vec<usize>>,
+    u32s: Table<Vec<u32>>,
+    bools: Table<Vec<bool>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -566,23 +523,6 @@ impl TraceArtifact {
 
         let log_payload = payload.buf;
 
-        // Flat section: fixed-width ops, back to back (count in header).
-        let mut flat_payload = ByteWriter::new();
-        if let Some(flat) = &self.flat {
-            for op in flat.iter() {
-                flat_payload.u8(op_kind_tag(op.kind));
-                flat_payload.u32(op.pc);
-                flat_payload.u64(op.addr);
-                flat_payload.u8(op.size);
-                flat_payload.bool(op.taken);
-                flat_payload.u32(op.target);
-                flat_payload.u32(op.dep1);
-                flat_payload.u32(op.dep2);
-                flat_payload.u8(category_tag(op.cat));
-            }
-        }
-        let flat_payload = flat_payload.buf;
-
         let mut out = ByteWriter::new();
         out.buf.extend_from_slice(STORE_MAGIC);
         out.u32(STORE_VERSION);
@@ -590,20 +530,14 @@ impl TraceArtifact {
         out.u64(self.expand_fingerprint);
         out.u64(self.trace_fingerprint);
         out.u64(log_payload.len() as u64);
-        out.u64(self.flat.as_ref().map_or(0, |f| f.len() as u64));
-        out.u64(flat_payload.len() as u64);
         debug_assert_eq!(out.buf.len(), HEADER_LEN);
         out.buf.extend_from_slice(&log_payload);
         out.u64(fnv64(&log_payload));
-        if self.flat.is_some() {
-            out.buf.extend_from_slice(&flat_payload);
-            out.u64(fnv64(&flat_payload));
-        }
         out.buf
     }
 
-    /// Decodes a full byte buffer, verifying magic, version, section
-    /// lengths, and both checksums.
+    /// Decodes a full byte buffer, verifying magic, version, length and
+    /// the log checksum.
     ///
     /// Key-field verification (does this artifact describe the scenario I
     /// asked for?) is the caller's job — this only guarantees structural
@@ -611,37 +545,18 @@ impl TraceArtifact {
     pub fn decode(bytes: &[u8]) -> Result<TraceArtifact, StoreError> {
         let header = StoreHeader::decode(bytes)?;
         let total = usize::try_from(header.total_len())
-            .map_err(|_| StoreError::Malformed("section length overflow"))?;
+            .map_err(|_| StoreError::Malformed("log length overflow"))?;
         if bytes.len() < total {
             return Err(StoreError::Truncated);
         }
         if bytes.len() > total {
-            return Err(StoreError::Malformed("trailing bytes after sections"));
+            return Err(StoreError::Malformed(
+                "trailing bytes after the log section",
+            ));
         }
-        let log_end = usize::try_from(header.flat_offset()).unwrap();
-        let mut artifact = Self::decode_log(&header, &bytes[HEADER_LEN..log_end])?;
-        if header.flat_ops > 0 {
-            artifact.flat = Some(Arc::new(Self::decode_flat(
-                &header,
-                &bytes[log_end..total],
-            )?));
-        }
-        Ok(artifact)
-    }
-
-    /// Decodes the log section (the bytes between the header and the flat
-    /// section, *including* the trailing log checksum) into an artifact
-    /// with `flat: None`. This is the store-hit fast path: for long
-    /// traces the log section is KBs where the flat section is MBs.
-    pub fn decode_log(header: &StoreHeader, section: &[u8]) -> Result<TraceArtifact, StoreError> {
-        let log_len =
-            usize::try_from(header.log_len).map_err(|_| StoreError::Malformed("log length"))?;
-        if section.len() < log_len + 8 {
-            return Err(StoreError::Truncated);
-        }
-        let payload = &section[..log_len];
-        let stored_sum = u64::from_le_bytes(section[log_len..log_len + 8].try_into().unwrap());
-        if fnv64(payload) != stored_sum {
+        let (payload, sum) = bytes[HEADER_LEN..].split_at(total - HEADER_LEN - 8);
+        let sum = u64::from_le_bytes(sum.try_into().expect("the checksum is the last 8 bytes"));
+        if fnv64(payload) != sum {
             return Err(StoreError::Checksum);
         }
 
@@ -655,17 +570,21 @@ impl TraceArtifact {
             converged: p.bool()?,
         };
 
-        let n_patterns = p.len()?;
+        // Minimum encoded element sizes bound each count (see `len`).
+        let n_patterns = p.len(32)?;
         let mut patterns = Vec::with_capacity(n_patterns);
         for _ in 0..n_patterns {
             let nrows = p.usize()?;
             let ncols = p.usize()?;
-            let n_ptr = p.len()?;
+            let n_ptr = p.len(8)?;
+            if nrows.checked_add(1) != Some(n_ptr) {
+                return Err(StoreError::Malformed("invalid CSR pattern"));
+            }
             let mut row_ptr = Vec::with_capacity(n_ptr);
             for _ in 0..n_ptr {
                 row_ptr.push(p.usize()?);
             }
-            let n_idx = p.len()?;
+            let n_idx = p.len(4)?;
             let mut col_idx = Vec::with_capacity(n_idx);
             for _ in 0..n_idx {
                 col_idx.push(p.u32()?);
@@ -675,10 +594,10 @@ impl TraceArtifact {
             patterns.push(Arc::new(pat));
         }
 
-        let n_usizes = p.len()?;
+        let n_usizes = p.len(8)?;
         let mut usizes = Vec::with_capacity(n_usizes);
         for _ in 0..n_usizes {
-            let n = p.len()?;
+            let n = p.len(8)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(p.usize()?);
@@ -686,10 +605,10 @@ impl TraceArtifact {
             usizes.push(Arc::new(v));
         }
 
-        let n_u32s = p.len()?;
+        let n_u32s = p.len(8)?;
         let mut u32s = Vec::with_capacity(n_u32s);
         for _ in 0..n_u32s {
-            let n = p.len()?;
+            let n = p.len(4)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(p.u32()?);
@@ -697,10 +616,10 @@ impl TraceArtifact {
             u32s.push(Arc::new(v));
         }
 
-        let n_bools = p.len()?;
+        let n_bools = p.len(8)?;
         let mut bools = Vec::with_capacity(n_bools);
         for _ in 0..n_bools {
-            let n = p.len()?;
+            let n = p.len(1)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(p.bool()?);
@@ -708,14 +627,29 @@ impl TraceArtifact {
             bools.push(Arc::new(v));
         }
 
-        let n_calls = p.len()?;
+        let mut tables = Tables {
+            patterns: Table::new(patterns),
+            usizes: Table::new(usizes),
+            u32s: Table::new(u32s),
+            bools: Table::new(bools),
+        };
+        let n_calls = p.len(1)?;
         let mut log = PhaseLog::new();
         for _ in 0..n_calls {
-            log.record(decode_call(&mut p, &patterns, &usizes, &u32s, &bools)?);
+            log.record(decode_call(&mut p, &mut tables)?);
         }
 
         if p.pos != payload.len() {
             return Err(StoreError::Malformed("trailing bytes in log section"));
+        }
+        let Tables {
+            patterns,
+            usizes,
+            u32s,
+            bools,
+        } = &tables;
+        if !(patterns.all_used() && usizes.all_used() && u32s.all_used() && bools.all_used()) {
+            return Err(StoreError::Malformed("unreferenced shared array"));
         }
 
         Ok(TraceArtifact {
@@ -724,47 +658,7 @@ impl TraceArtifact {
             trace_fingerprint: header.trace_fingerprint,
             solve,
             log,
-            flat: None,
         })
-    }
-
-    /// Decodes the flat section (the bytes from [`StoreHeader::flat_offset`]
-    /// to the end of the file, *including* the trailing flat checksum),
-    /// verifying its checksum and op count. Called lazily — a failure
-    /// here means the caller re-expands from the (already verified) log,
-    /// never a wrong trace.
-    pub fn decode_flat(header: &StoreHeader, section: &[u8]) -> Result<FlatTrace, StoreError> {
-        let flat_len =
-            usize::try_from(header.flat_len).map_err(|_| StoreError::Malformed("flat length"))?;
-        if section.len() < flat_len + 8 {
-            return Err(StoreError::Truncated);
-        }
-        let payload = &section[..flat_len];
-        let stored_sum = u64::from_le_bytes(section[flat_len..flat_len + 8].try_into().unwrap());
-        if fnv64(payload) != stored_sum {
-            return Err(StoreError::Checksum);
-        }
-        let n =
-            usize::try_from(header.flat_ops).map_err(|_| StoreError::Malformed("flat op count"))?;
-        let mut p = ByteReader::new(payload);
-        let mut flat = FlatTrace::with_capacity(n);
-        for _ in 0..n {
-            flat.push(MicroOp {
-                kind: op_kind_from(p.u8()?)?,
-                pc: p.u32()?,
-                addr: p.u64()?,
-                size: p.u8()?,
-                taken: p.bool()?,
-                target: p.u32()?,
-                dep1: p.u32()?,
-                dep2: p.u32()?,
-                cat: category_from(p.u8()?)?,
-            });
-        }
-        if p.pos != payload.len() {
-            return Err(StoreError::Malformed("trailing bytes in flat section"));
-        }
-        Ok(flat)
     }
 }
 
@@ -896,57 +790,51 @@ fn encode_call(w: &mut ByteWriter, t: &mut ArcTables, call: &KernelCall) {
     }
 }
 
-fn decode_call(
-    p: &mut ByteReader<'_>,
-    patterns: &[Arc<CsrPattern>],
-    usizes: &[Arc<Vec<usize>>],
-    u32s: &[Arc<Vec<u32>>],
-    bools: &[Arc<Vec<bool>>],
-) -> Result<KernelCall, StoreError> {
+fn decode_call(p: &mut ByteReader<'_>, t: &mut Tables) -> Result<KernelCall, StoreError> {
     Ok(match p.u8()? {
         0 => KernelCall::Dot { n: p.usize()? },
         1 => KernelCall::Axpy { n: p.usize()? },
         2 => KernelCall::Norm { n: p.usize()? },
         3 => KernelCall::VecOp { n: p.usize()? },
         4 => KernelCall::SpMv {
-            pattern: lookup(patterns, p.u32()?)?,
+            pattern: t.patterns.get(p.u32()?)?,
         },
         5 => KernelCall::AssembleStiffness {
-            conn: lookup(u32s, p.u32()?)?,
+            conn: t.u32s.get(p.u32()?)?,
             nodes_per_elem: p.usize()?,
             dofs_per_node: p.usize()?,
             gauss_points: p.usize()?,
             material: material_from(p.u8()?)?,
-            pattern: lookup(patterns, p.u32()?)?,
+            pattern: t.patterns.get(p.u32()?)?,
         },
         6 => KernelCall::AssembleResidual {
-            conn: lookup(u32s, p.u32()?)?,
+            conn: t.u32s.get(p.u32()?)?,
             nodes_per_elem: p.usize()?,
             dofs_per_node: p.usize()?,
             gauss_points: p.usize()?,
             material: material_from(p.u8()?)?,
         },
         7 => KernelCall::LdlFactor {
-            col_ptr: lookup(usizes, p.u32()?)?,
-            row_idx: lookup(u32s, p.u32()?)?,
+            col_ptr: t.usizes.get(p.u32()?)?,
+            row_idx: t.u32s.get(p.u32()?)?,
         },
         8 => KernelCall::LdlSolve {
-            col_ptr: lookup(usizes, p.u32()?)?,
-            row_idx: lookup(u32s, p.u32()?)?,
+            col_ptr: t.usizes.get(p.u32()?)?,
+            row_idx: t.u32s.get(p.u32()?)?,
         },
         9 => KernelCall::SkylineFactor {
-            heights: lookup(usizes, p.u32()?)?,
+            heights: t.usizes.get(p.u32()?)?,
         },
         10 => KernelCall::SkylineSolve {
-            heights: lookup(usizes, p.u32()?)?,
+            heights: t.usizes.get(p.u32()?)?,
         },
         11 => KernelCall::CgSolve {
-            pattern: lookup(patterns, p.u32()?)?,
+            pattern: t.patterns.get(p.u32()?)?,
             iterations: p.usize()?,
             precond: precond_from(p.u8()?)?,
         },
         12 => KernelCall::FgmresSolve {
-            pattern: lookup(patterns, p.u32()?)?,
+            pattern: t.patterns.get(p.u32()?)?,
             iterations: p.usize()?,
             restart: p.usize()?,
             precond: precond_from(p.u8()?)?,
@@ -956,7 +844,7 @@ fn decode_call(
             material: material_from(p.u8()?)?,
         },
         14 => KernelCall::ContactSearch {
-            outcomes: lookup(bools, p.u32()?)?,
+            outcomes: t.bools.get(p.u32()?)?,
         },
         15 => KernelCall::OmpBarrier {
             spin_iters: p.usize()?,
@@ -1002,9 +890,6 @@ mod tests {
         log.record(KernelCall::ContactSearch {
             outcomes: Arc::new(vec![true, false, true]),
         });
-        let mut flat = FlatTrace::new();
-        flat.push(MicroOp::load(7, 0x1000, 8, 1, FnCategory::MklBlas));
-        flat.push(MicroOp::fp(OpKind::FpMul, 8, 1, 2, FnCategory::Internal));
         TraceArtifact {
             scenario_digest: 0xdead_beef,
             expand_fingerprint: 0x1234,
@@ -1018,7 +903,6 @@ mod tests {
                 converged: true,
             },
             log,
-            flat: Some(Arc::new(flat)),
         }
     }
 
@@ -1032,12 +916,7 @@ mod tests {
         assert_eq!(b.trace_fingerprint, a.trace_fingerprint);
         assert_eq!(b.solve, a.solve);
         assert_eq!(b.log.len(), a.log.len());
-        let fa = a.flat.as_ref().unwrap();
-        let fb = b.flat.as_ref().unwrap();
-        assert_eq!(fa.len(), fb.len());
-        for i in 0..fa.len() {
-            assert_eq!(fa.get(i), fb.get(i));
-        }
+        assert_eq!(b.encode(), bytes);
     }
 
     #[test]
@@ -1072,12 +951,15 @@ mod tests {
 
     #[test]
     fn wrong_version_is_a_clean_error() {
-        let mut bytes = sample_artifact().encode();
-        bytes[STORE_MAGIC.len()] = 99;
-        assert_eq!(
-            TraceArtifact::decode(&bytes).unwrap_err(),
-            StoreError::Version { found: 99 }
-        );
+        // Version 1 is the format that also stored the expanded trace.
+        for found in [1u32, 99] {
+            let mut bytes = sample_artifact().encode();
+            bytes[STORE_MAGIC.len()..STORE_MAGIC.len() + 4].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                TraceArtifact::decode(&bytes).unwrap_err(),
+                StoreError::Version { found }
+            );
+        }
     }
 
     #[test]
@@ -1091,47 +973,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_corruption_leaves_log_section_loadable() {
-        let a = sample_artifact();
-        let mut bytes = a.encode();
+    fn header_length_sizes_the_entry() {
+        let bytes = sample_artifact().encode();
         let header = StoreHeader::decode(&bytes).unwrap();
-        let flat_off = header.flat_offset() as usize;
-        bytes[flat_off + 3] ^= 0xff;
-        // The eager full decode notices,
-        assert_eq!(
-            TraceArtifact::decode(&bytes).unwrap_err(),
-            StoreError::Checksum
-        );
-        // but the log section alone still decodes — the lazy-flat path
-        // falls back to re-expansion without losing the store hit.
-        let b = TraceArtifact::decode_log(&header, &bytes[HEADER_LEN..flat_off]).unwrap();
-        assert_eq!(b.log.len(), a.log.len());
-        assert!(b.flat.is_none());
-        assert_eq!(
-            TraceArtifact::decode_flat(&header, &bytes[flat_off..]).unwrap_err(),
-            StoreError::Checksum
-        );
-    }
-
-    #[test]
-    fn header_lengths_locate_sections() {
-        let a = sample_artifact();
-        let bytes = a.encode();
-        let header = StoreHeader::decode(&bytes).unwrap();
-        assert_eq!(header.scenario_digest, a.scenario_digest);
-        assert_eq!(header.flat_ops, a.flat.as_ref().unwrap().len() as u64);
+        assert_eq!(header.scenario_digest, 0xdead_beef);
         assert_eq!(header.total_len() as usize, bytes.len());
-        let flat_off = header.flat_offset() as usize;
-        let flat = TraceArtifact::decode_flat(&header, &bytes[flat_off..]).unwrap();
-        assert_eq!(flat.len(), a.flat.as_ref().unwrap().len());
-    }
-
-    #[test]
-    fn log_only_artifact_roundtrips() {
-        let mut a = sample_artifact();
-        a.flat = None;
-        let b = TraceArtifact::decode(&a.encode()).unwrap();
-        assert!(b.flat.is_none());
-        assert_eq!(b.log.len(), a.log.len());
     }
 }

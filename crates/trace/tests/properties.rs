@@ -100,13 +100,98 @@ proptest! {
     }
 }
 
+/// A store artifact over a random log that references every
+/// shared-array table, one of them (patterns) with two entries.
+fn random_artifact(
+    n: usize,
+    extra: &[(usize, usize)],
+    outcomes: Vec<bool>,
+    digest: u64,
+) -> belenos_trace::TraceArtifact {
+    use belenos_trace::{MaterialClass, PrecondClass, SolveMeta, TraceArtifact};
+
+    // Derive the remaining shape knobs from `digest` to keep the
+    // macro's generator arity small.
+    let dot_n = 1 + (digest % 200) as usize;
+    let spins = 1 + (digest >> 8) as usize % 50;
+    let material = (digest >> 16) as usize % 12;
+    let iterations = 1 + (digest >> 24) as usize % 20;
+
+    let p = random_pattern(n, extra);
+    let conn = Arc::new((0..4 * n as u32).collect::<Vec<u32>>());
+    let material = [
+        MaterialClass::LinearElastic,
+        MaterialClass::Hyperelastic,
+        MaterialClass::FiberExponential,
+        MaterialClass::Viscoelastic,
+        MaterialClass::Biphasic,
+        MaterialClass::Multiphasic,
+        MaterialClass::Damage,
+        MaterialClass::Plasticity,
+        MaterialClass::ActiveMuscle,
+        MaterialClass::Growth,
+        MaterialClass::Fluid,
+        MaterialClass::Rigid,
+    ][material];
+    let mut log = PhaseLog::new();
+    log.record(KernelCall::Dot { n: dot_n });
+    log.record(KernelCall::SpMv {
+        pattern: Arc::clone(&p),
+    });
+    log.record(KernelCall::AssembleStiffness {
+        conn: Arc::clone(&conn),
+        nodes_per_elem: 4,
+        dofs_per_node: 3,
+        gauss_points: 8,
+        material,
+        pattern: Arc::clone(&p),
+    });
+    log.record(KernelCall::CgSolve {
+        pattern: p,
+        iterations,
+        precond: PrecondClass::Jacobi,
+    });
+    log.record(KernelCall::SpMv {
+        pattern: random_pattern(n + 1, extra),
+    });
+    log.record(KernelCall::SkylineSolve {
+        heights: Arc::new((1..=n).map(|h| h.min(4)).collect()),
+    });
+    log.record(KernelCall::OmpBarrier { spin_iters: spins });
+    log.record(KernelCall::ContactSearch {
+        outcomes: Arc::new(outcomes),
+    });
+
+    TraceArtifact {
+        scenario_digest: digest,
+        expand_fingerprint: digest.rotate_left(17),
+        trace_fingerprint: digest.rotate_right(9),
+        solve: SolveMeta {
+            wall_secs: digest % 1000,
+            wall_subsec_nanos: (digest % 1_000_000_000) as u32,
+            n_dofs: 3 * n,
+            iterations,
+            size_kb: n as f64 * 0.75,
+            converged: spins.is_multiple_of(2),
+        },
+        log,
+    }
+}
+
+/// FNV-1a 64, the store's log checksum.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // Store round-trip over random logs: the decoded artifact must
-    // reconstruct every `MicroOp` of the expanded trace exactly —
-    // encoding loss would surface as a persistent-cache fingerprint
-    // mismatch in production, so the property is load-bearing.
+    // Store round-trip over random logs: the decoded log must re-expand
+    // to the identical op stream — encoding loss would surface as a
+    // persistent-cache fingerprint mismatch in production, so the
+    // property is load-bearing.
     #[test]
     fn store_roundtrip_reconstructs_every_micro_op(
         n in 2usize..30,
@@ -114,80 +199,66 @@ proptest! {
         outcomes in prop::collection::vec(any::<bool>(), 1..32),
         digest in 0u64..u64::MAX,
     ) {
-        use belenos_trace::{FlatTrace, MaterialClass, PrecondClass, SolveMeta, TraceArtifact};
+        use belenos_trace::TraceArtifact;
 
-        // Derive the remaining shape knobs from `digest` to keep the
-        // macro's generator arity small.
-        let dot_n = 1 + (digest % 200) as usize;
-        let spins = 1 + (digest >> 8) as usize % 50;
-        let material = (digest >> 16) as usize % 12;
-        let iterations = 1 + (digest >> 24) as usize % 20;
-
-        let p = random_pattern(n, &extra);
-        let conn = Arc::new((0..4 * n as u32).collect::<Vec<u32>>());
-        let material = [
-            MaterialClass::LinearElastic, MaterialClass::Hyperelastic,
-            MaterialClass::FiberExponential, MaterialClass::Viscoelastic,
-            MaterialClass::Biphasic, MaterialClass::Multiphasic,
-            MaterialClass::Damage, MaterialClass::Plasticity,
-            MaterialClass::ActiveMuscle, MaterialClass::Growth,
-            MaterialClass::Fluid, MaterialClass::Rigid,
-        ][material];
-        let mut log = PhaseLog::new();
-        log.record(KernelCall::Dot { n: dot_n });
-        log.record(KernelCall::SpMv { pattern: Arc::clone(&p) });
-        log.record(KernelCall::AssembleStiffness {
-            conn: Arc::clone(&conn),
-            nodes_per_elem: 4,
-            dofs_per_node: 3,
-            gauss_points: 8,
-            material,
-            pattern: Arc::clone(&p),
-        });
-        log.record(KernelCall::CgSolve {
-            pattern: p,
-            iterations,
-            precond: PrecondClass::Jacobi,
-        });
-        log.record(KernelCall::OmpBarrier { spin_iters: spins });
-        log.record(KernelCall::ContactSearch { outcomes: Arc::new(outcomes) });
-
-        let mut flat = FlatTrace::new();
-        for op in Expander::new(&log) {
-            flat.push(op);
-        }
-        let artifact = TraceArtifact {
-            scenario_digest: digest,
-            expand_fingerprint: digest.rotate_left(17),
-            trace_fingerprint: digest.rotate_right(9),
-            solve: SolveMeta {
-                wall_secs: digest % 1000,
-                wall_subsec_nanos: (digest % 1_000_000_000) as u32,
-                n_dofs: 3 * n,
-                iterations,
-                size_kb: n as f64 * 0.75,
-                converged: spins.is_multiple_of(2),
-            },
-            log,
-            flat: Some(Arc::new(flat)),
-        };
-
+        let artifact = random_artifact(n, &extra, outcomes, digest);
         let decoded = TraceArtifact::decode(&artifact.encode()).unwrap();
         prop_assert_eq!(decoded.scenario_digest, artifact.scenario_digest);
         prop_assert_eq!(decoded.expand_fingerprint, artifact.expand_fingerprint);
         prop_assert_eq!(decoded.trace_fingerprint, artifact.trace_fingerprint);
         prop_assert_eq!(&decoded.solve, &artifact.solve);
         prop_assert_eq!(decoded.log.len(), artifact.log.len());
-        // The decoded *log* must re-expand to the identical op stream…
         let a: Vec<_> = Expander::new(&artifact.log).collect();
         let b: Vec<_> = Expander::new(&decoded.log).collect();
         prop_assert_eq!(a, b);
-        // …and the decoded *flat section* must hold every op exactly.
-        let fa = artifact.flat.as_ref().unwrap();
-        let fb = decoded.flat.as_ref().unwrap();
-        prop_assert_eq!(fa.len(), fb.len());
-        for i in 0..fa.len() {
-            prop_assert_eq!(fa.get(i), fb.get(i));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    // Decoder fuzz: truncate and bit-flip the log payload of a valid
+    // entry, then reseal it (header length and checksum recomputed) so
+    // the structural decoder sees the damage. Decoding must return an
+    // error or an artifact that re-encodes to the identical bytes; a
+    // panic, or a hostile length allocating past the input, fails the run.
+    #[test]
+    fn store_decoder_rejects_or_roundtrips_damaged_entries(
+        n in 2usize..5,
+        extra in prop::collection::vec((0usize..5, 0usize..5), 0..4),
+        outcomes in prop::collection::vec(any::<bool>(), 1..4),
+        digest in 0u64..u64::MAX,
+        cut in any::<usize>(),
+        flip in any::<usize>(),
+    ) {
+        use belenos_trace::{StoreHeader, TraceArtifact, HEADER_LEN};
+
+        let bytes = random_artifact(n, &extra, outcomes, digest).encode();
+        let mut payload = bytes[HEADER_LEN..bytes.len() - 8].to_vec();
+        // Small entries and many cases, so single bits such as a
+        // shared-array index get hit; a quarter of the cases truncate.
+        if cut.is_multiple_of(4) {
+            payload.truncate(cut / 4 % (payload.len() + 1));
+        }
+        if !payload.is_empty() {
+            let at = flip / 8 % payload.len();
+            payload[at] ^= 1 << (flip % 8);
+        }
+        let mut entry = bytes[..HEADER_LEN].to_vec();
+        entry[HEADER_LEN - 8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        entry.extend_from_slice(&payload);
+        entry.extend_from_slice(&fnv64(&payload).to_le_bytes());
+
+        prop_assert!(StoreHeader::decode(&entry).is_ok());
+        if let Ok(decoded) = TraceArtifact::decode(&entry) {
+            prop_assert!(decoded.encode() == entry, "decoded entry re-encodes differently");
+        }
+        // The same flip in the header: a clean error or, for a key field,
+        // the entry unchanged in meaning.
+        entry[flip / 8 % HEADER_LEN] ^= 1 << (flip % 8);
+        let _ = StoreHeader::decode(&entry);
+        if let Ok(decoded) = TraceArtifact::decode(&entry) {
+            prop_assert!(decoded.encode() == entry, "decoded entry re-encodes differently");
         }
     }
 }

@@ -1,34 +1,29 @@
 //! End-to-end tests of the persistent content-addressed trace store:
 //! warm prepares must skip the FE solve yet reproduce the cold
 //! experiment exactly (fingerprint, solve summary, and simulated
-//! statistics), and every damaged-entry shape — truncation anywhere,
-//! version skew, key or fingerprint mismatch, a corrupt lazy flat
-//! section — must degrade to a recompute-and-overwrite with a
-//! structured `warn`, never a panic or a wrong trace.
+//! statistics in every simulation mode), and every damaged-entry shape —
+//! truncation anywhere, version skew, key or fingerprint mismatch — must
+//! degrade to a recompute-and-overwrite with a structured `warn`, never
+//! a panic or a wrong trace.
 //!
-//! These tests swap the process-wide telemetry handle to capture
-//! events, so they serialize through a lock (tests in one binary run on
-//! parallel threads).
+//! Each test captures the telemetry of its own thread only, through a
+//! thread-scoped buffer sink, so tests running in parallel never see
+//! each other's events.
 
 use belenos::experiment::Experiment;
 use belenos::trace_store::TraceStore;
 use belenos_json::Json;
-use belenos_telemetry::{install, Telemetry, TelemetryBuffer};
-use belenos_trace::{StoreHeader, HEADER_LEN};
+use belenos_telemetry::{scoped, Telemetry, TelemetryBuffer};
+use belenos_trace::{StoreHeader, HEADER_LEN, STORE_VERSION};
+use belenos_uarch::{CoreConfig, SamplingConfig};
 use belenos_workloads::ScenarioSpec;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-static GLOBAL_SINK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with a buffer sink installed globally, restoring the
-/// previous handle afterwards, and returns the captured events.
+/// Runs `f` with a buffer sink as this thread's telemetry handle and
+/// returns the captured events.
 fn with_buffer_sink<T>(f: impl FnOnce() -> T) -> (T, Vec<Json>) {
-    let _guard = GLOBAL_SINK.lock().unwrap_or_else(|e| e.into_inner());
     let (sink, buf): (Telemetry, TelemetryBuffer) = Telemetry::to_buffer();
-    let previous = install(sink);
-    let out = f();
-    install(previous);
+    let out = scoped(sink, f);
     let events = buf
         .lines()
         .iter()
@@ -60,8 +55,7 @@ fn warnings(events: &[Json]) -> Vec<String> {
 
 /// A small scenario with a unique id per test, so parallel tests never
 /// share a store entry or a telemetry label. The kernel-op cap is
-/// lowered so the expanded trace fits the store's embed cap and the
-/// entry carries a flat section (which several tests corrupt).
+/// lowered so whole-trace simulations stay quick.
 fn small_scenario(tag: &str) -> ScenarioSpec {
     let mut spec = belenos_workloads::by_id("pd")
         .expect("pd preset")
@@ -120,11 +114,34 @@ fn warm_prepare_skips_fem_and_reproduces_the_experiment() {
     assert_eq!(warm.solve.n_dofs, cold.solve.n_dofs);
     assert_eq!(warm.solve.iterations, cold.solve.iterations);
     assert_eq!(warm.solve.converged, cold.solve.converged);
-    // The replayed experiment must simulate bit-identically — this
-    // drives the lazy flat-section read end to end.
+    // The replayed experiment re-expands its log and must simulate
+    // bit-identically in every mode: a prefix, sampled windows over the
+    // whole trace (which needs its length), and the whole trace.
     let a = cold.simulate_baseline(20_000);
     let b = warm.simulate_baseline(20_000);
-    assert!(a == b, "store-hit simulation diverged from cold prepare");
+    assert!(
+        a == b,
+        "store-hit prefix simulation diverged from cold prepare"
+    );
+    let cfg = CoreConfig::gem5_baseline();
+    let sampling = SamplingConfig::smarts(16);
+    let a = cold.simulate_sampled(&cfg, 20_000, &sampling);
+    let b = warm.simulate_sampled(&cfg, 20_000, &sampling);
+    assert!(
+        a == b,
+        "store-hit sampled simulation diverged from cold prepare"
+    );
+    let a = cold.simulate(&cfg, 0);
+    let b = warm.simulate(&cfg, 0);
+    assert!(
+        a == b,
+        "store-hit whole-trace simulation diverged from cold prepare"
+    );
+    assert_eq!(warm.total_trace_ops(), cold.total_trace_ops());
+    assert!(
+        warm.total_trace_ops() > 20_000,
+        "the budget must sample, not cover the trace"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -140,12 +157,12 @@ fn truncated_entries_recompute_and_overwrite() {
     let header = StoreHeader::decode(&intact).unwrap();
 
     // Cut inside the header, inside the log section, and inside the
-    // flat section: every shape must fall back to a verified recompute
+    // log checksum: every shape must fall back to a verified recompute
     // that repairs the entry in place.
     let cuts = [
         HEADER_LEN / 2,
         HEADER_LEN + (header.log_len as usize) / 2,
-        header.flat_offset() as usize + (header.flat_len as usize) / 2,
+        HEADER_LEN + header.log_len as usize + 4,
     ];
     for cut in cuts {
         std::fs::write(&path, &intact[..cut]).unwrap();
@@ -173,16 +190,22 @@ fn wrong_version_recomputes_and_overwrites() {
     let path = entry_path(&store, &spec);
     let intact = read_entry(&path);
 
-    let mut skewed = intact.clone();
-    skewed[12] = 99; // version field follows the 12-byte magic
-    std::fs::write(&path, &skewed).unwrap();
-    let (exp, events) =
-        with_buffer_sink(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
-    assert_eq!(exp.trace_fingerprint(), baseline.trace_fingerprint());
-    assert_eq!(counter_total(&events, "trace_store_miss"), 1);
-    let warns = warnings(&events);
-    assert!(warns.iter().any(|w| w.contains("version 99")), "{warns:?}");
-    assert_repaired(&path, baseline.trace_fingerprint(), "version skew");
+    // Version 1 is the previous format, which also stored the expanded
+    // trace; entries it left in a shared store must never be misread.
+    for version in [1u32, 99] {
+        let mut skewed = intact.clone();
+        // The version field follows the 12-byte magic.
+        skewed[12..16].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &skewed).unwrap();
+        let (exp, events) =
+            with_buffer_sink(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
+        assert_eq!(exp.trace_fingerprint(), baseline.trace_fingerprint());
+        assert_eq!(counter_total(&events, "trace_store_miss"), 1);
+        let warns = warnings(&events);
+        let needle = format!("version {version} (expected {STORE_VERSION})");
+        assert!(warns.iter().any(|w| w.contains(&needle)), "{warns:?}");
+        assert_repaired(&path, baseline.trace_fingerprint(), "version skew");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -216,47 +239,5 @@ fn key_and_fingerprint_mismatches_recompute_and_overwrite() {
         );
         assert_repaired(&path, baseline.trace_fingerprint(), needle);
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_flat_section_still_simulates_identically() {
-    let spec = small_scenario("flat");
-    let dir = fresh_store_dir("flat");
-    let store = TraceStore::at(&dir);
-    let cold = Experiment::prepare_with_store(&spec, Some(&store)).unwrap();
-    let reference = cold.simulate_baseline(20_000);
-    let path = entry_path(&store, &spec);
-    let mut bytes = read_entry(&path);
-    let header = StoreHeader::decode(&bytes).unwrap();
-    assert!(
-        header.flat_ops > 0,
-        "test scenario must embed a flat section"
-    );
-
-    // Flip a byte inside the flat payload. The load (header + log only)
-    // still hits; the lazy flat decode at simulate time must notice the
-    // checksum, warn, and fall back to re-expansion — bit-identically.
-    let idx = header.flat_offset() as usize + (header.flat_len as usize) / 3;
-    bytes[idx] ^= 0xff;
-    std::fs::write(&path, &bytes).unwrap();
-
-    let ((warm, stats), events) = with_buffer_sink(|| {
-        let warm = Experiment::prepare_with_store(&spec, Some(&store)).unwrap();
-        let stats = warm.simulate_baseline(20_000);
-        (warm, stats)
-    });
-    assert_eq!(counter_total(&events, "trace_store_hit"), 1);
-    assert_eq!(counter_total(&events, "trace_store_miss"), 0);
-    assert_eq!(warm.trace_fingerprint(), cold.trace_fingerprint());
-    let warns = warnings(&events);
-    assert!(
-        warns.iter().any(|w| w.contains("flat section")),
-        "{warns:?}"
-    );
-    assert!(
-        stats == reference,
-        "corrupt flat section must never change simulated statistics"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
